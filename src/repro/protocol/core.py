@@ -9,8 +9,9 @@ core (:class:`repro.sim.worker.Worker`) calls:
 ``on_idle(t)``
     The worker's stack drained; start a work-discovery session.
 ``on_message(now, msg)``
-    A protocol message arrived (the worker dispatches *every* message
-    here).
+    A protocol message arrived.  This is the per-message entry point:
+    the sharded engine calls it directly (no worker hop), the
+    sequential engine through ``Worker.on_message``.
 ``serve_pending(now) -> t``
     Poll boundary: answer queued steal requests (and push to armed
     lifelines), returning the advanced local time.
@@ -61,7 +62,7 @@ from repro.protocol.messages import (
     StealResponse,
 )
 from repro.protocol.regions import RegionMap
-from repro.protocol.status import WorkerStatus
+from repro.protocol.status import DONE, RUNNING, WAITING
 from repro.trace.events import (
     EV_DENY,
     EV_FINISH,
@@ -157,6 +158,10 @@ class StealProtocol:
         "events",
         "pending",
         "plain_serve",
+        # Reused outgoing messages (immutable once built).
+        "_deny",
+        "_request",
+        "_request_escalated",
         # Session accounting.
         "sessions",
         "_session_start",
@@ -218,6 +223,13 @@ class StealProtocol:
         #: workers push spontaneously to armed waiters; forwarding and
         #: regions add no spontaneous serving.
         self.plain_serve = not plan.lifelines
+        # This rank's deny and its two steal requests never vary, so
+        # each is built once and sent by reference.  Nothing mutates a
+        # message after construction, and the cross-process codec
+        # decodes into fresh objects, so sharing is invisible.
+        self._deny = StealResponse(self.rank, None)
+        self._request = StealRequest(self.rank, False)
+        self._request_escalated = StealRequest(self.rank, True)
 
         self.sessions: list[Session] = []
         self._session_start: float | None = None
@@ -281,7 +293,7 @@ class StealProtocol:
         everything protocol-side happens here.
         """
         self.consecutive_failed_steals = 0
-        self.worker.status = WorkerStatus.WAITING
+        self.worker.status = WAITING
         self._session_start = t
         self._session_attempts = 0
         self.transport.rank_became_idle(self.rank, t)
@@ -290,15 +302,53 @@ class StealProtocol:
         # nranks == 1: termination fires via rank_became_idle.
 
     def on_message(self, now: float, msg: object) -> None:
-        """A message arrived at this rank at (true) time ``now``."""
-        w = self.worker
-        if w.status is WorkerStatus.DONE:
+        """A message arrived at this rank at (true) time ``now``.
+
+        Branches are ordered by frequency: at scale almost every
+        message is a steal response, and almost every response is a
+        deny, which is handled in one branch — the status check, the
+        failure accounting, then the next request (or quiescence).
+        """
+        status = self.worker.status
+        if status is DONE:
             return  # post-termination stragglers are dropped
         tag = getattr(msg, "tag", None)
-        if tag == TAG_STEAL_REQUEST:
-            if w.status is WorkerStatus.RUNNING:
-                self.pending.append(msg)
+        if tag == TAG_STEAL_RESPONSE:
+            if msg.chunks is None:
+                # With lifelines a deny may legitimately land while
+                # RUNNING: a stale push (partner served before our
+                # deregister arrived) can wake the thief while a real
+                # request is still in flight.  The chain continues as
+                # if the thief were still hunting.  Without lifelines
+                # any non-WAITING response is a protocol violation.
+                if status is not WAITING and not self._lifelines:
+                    raise SimulationError(
+                        f"rank {self.rank}: steal response while {status.name}"
+                    )
+                self._steal_failed(now, msg.victim)
+                if (
+                    self._lifelines
+                    and self.consecutive_failed_steals >= self.lifeline_threshold
+                ):
+                    if not self._quiescent:
+                        self._quiesce(now)
+                    # Quiescent: no further requests; wait for a push
+                    # or Finish.
+                else:
+                    self._send_steal_request(now)
+            elif self._lifelines and status is RUNNING:
+                # A lifeline push raced our own recovery: merge the work.
+                self.worker.stack.receive_chunks(msg.chunks)
+                self.chunks_received += len(msg.chunks)
+                self.nodes_received += msg.nodes
+                if self.events is not None:
+                    self.events.append(now, EV_PUSH_RECV, msg.victim, msg.nodes)
             else:
+                self._on_response(now, msg)
+        elif tag == TAG_STEAL_REQUEST:
+            if status is RUNNING:
+                self.pending.append(msg)
+            elif self._forward:
                 # Idle ranks have nothing to give; relay or deny now.
                 self._relay_or_deny(
                     now,
@@ -307,22 +357,10 @@ class StealProtocol:
                     self._forward_ttl,
                     (msg.thief, self.rank),
                 )
-        elif tag == TAG_STEAL_RESPONSE:
-            if (
-                self._lifelines
-                and msg.has_work
-                and w.status is WorkerStatus.RUNNING
-            ):
-                # A lifeline push raced our own recovery: merge the work.
-                w.stack.receive_chunks(msg.chunks)
-                self.chunks_received += len(msg.chunks)
-                self.nodes_received += msg.nodes
-                if self.events is not None:
-                    self.events.append(now, EV_PUSH_RECV, msg.victim, msg.nodes)
-                return
-            self._on_response(now, msg)
+            else:
+                self._deny_steal(now, msg.thief)
         elif tag == TAG_STEAL_FORWARD:
-            if w.status is WorkerStatus.RUNNING:
+            if status is RUNNING:
                 self.pending.append(msg)
             else:
                 self._relay_or_deny(
@@ -386,7 +424,7 @@ class StealProtocol:
                     self._relay_or_deny(
                         t, req.thief, req.escalated, req.ttl, req.visited
                     )
-                else:
+                elif self._forward:
                     self._relay_or_deny(
                         t,
                         req.thief,
@@ -394,6 +432,8 @@ class StealProtocol:
                         self._forward_ttl,
                         (req.thief, self.rank),
                     )
+                else:
+                    self._deny_steal(t, req.thief)
             pending.clear()
         if self._lifelines:
             stack = self.worker.stack
@@ -423,7 +463,7 @@ class StealProtocol:
 
     def on_finish(self, now: float) -> None:
         w = self.worker
-        if w.status is WorkerStatus.RUNNING or not w.stack.is_empty:
+        if w.status is RUNNING or not w.stack.is_empty:
             raise SimulationError(
                 f"rank {self.rank}: Finish while holding work "
                 "(termination detected too early)"
@@ -432,7 +472,7 @@ class StealProtocol:
             self._close_session(now, found_work=False)
         if self.events is not None:
             self.events.append(now, EV_FINISH)
-        w.status = WorkerStatus.DONE
+        w.status = DONE
         w.finish_time = now
 
     # Internal alias used by on_message dispatch.
@@ -460,69 +500,54 @@ class StealProtocol:
         return self.selector.next_victim()
 
     def _send_steal_request(self, t: float) -> None:
-        victim = self._draw_victim()
+        if self._region_peers is None:
+            victim = self.selector.next_victim()
+        else:
+            victim = self._draw_victim()
         self.steal_requests_sent += 1
         self._session_attempts += 1
-        escalated = (
-            self._escalate_after is not None
-            and self.consecutive_failed_steals >= self._escalate_after
-        )
+        escalate_after = self._escalate_after
+        if (
+            escalate_after is not None
+            and self.consecutive_failed_steals >= escalate_after
+        ):
+            escalated = True
+            request = self._request_escalated
+        else:
+            escalated = False
+            request = self._request
         ev = self.events
         if ev is not None:
             ev.append(t, EV_VICTIM_DRAW, victim, self._session_attempts)
             ev.append(t, EV_STEAL_SENT, victim, int(escalated))
-        self.transport.send(
-            self.rank, victim, StealRequest(self.rank, escalated), t
-        )
+        self.transport.send(self.rank, victim, request, t)
 
     def _on_response(self, now: float, msg: StealResponse) -> None:
+        """A response carrying work reached a hunting thief (denies are
+        handled inline in :meth:`on_message`)."""
         w = self.worker
-        # With lifelines a deny may legitimately land while RUNNING: a
-        # stale push (partner served before our deregister arrived) can
-        # wake the thief while a real request is still in flight.  The
-        # chain continues as if the thief were still hunting.  Without
-        # lifelines any non-WAITING response is a protocol violation.
-        if w.status is not WorkerStatus.WAITING and not (
-            self._lifelines and not msg.has_work
-        ):
+        if w.status is not WAITING:
             raise SimulationError(
                 f"rank {self.rank}: steal response while {w.status.name}"
             )
-        if msg.has_work:
-            if self._armed:
-                self._disarm(now)
-                self.lifeline_wakeups += 1
-                if self.events is not None:
-                    self.events.append(now, EV_LIFELINE_WAKE, msg.victim)
-            assert msg.chunks is not None
-            received = w.stack.receive_chunks(msg.chunks)
-            self.successful_steals += 1
-            self.chunks_received += len(msg.chunks)
-            self.nodes_received += received
+        if self._armed:
+            self._disarm(now)
+            self.lifeline_wakeups += 1
             if self.events is not None:
-                self.events.append(now, EV_STEAL_OK, msg.victim, received)
-            if self.selector is not None:
-                self.selector.notify(msg.victim, success=True)
-            self.consecutive_failed_steals = 0
-            self._close_session(now, found_work=True)
-            w._record(now, active=True)
-            w.status = WorkerStatus.RUNNING
-            self.transport.schedule_exec(self.rank, now)
-        else:
-            # Shares one failure accounting point (counter, trace
-            # event, selector notify) so the three can never diverge;
-            # only the spin-vs-quiesce decision is lifeline-specific.
-            self._steal_failed(now, msg.victim)
-            if (
-                self._lifelines
-                and self.consecutive_failed_steals >= self.lifeline_threshold
-            ):
-                if not self._quiescent:
-                    self._quiesce(now)
-                # Quiescent: no further requests; wait for a push or
-                # Finish.
-            else:
-                self._send_steal_request(now)
+                self.events.append(now, EV_LIFELINE_WAKE, msg.victim)
+        received = w.stack.receive_chunks(msg.chunks)
+        self.successful_steals += 1
+        self.chunks_received += len(msg.chunks)
+        self.nodes_received += received
+        if self.events is not None:
+            self.events.append(now, EV_STEAL_OK, msg.victim, received)
+        if self.selector is not None:
+            self.selector.notify(msg.victim, success=True)
+        self.consecutive_failed_steals = 0
+        self._close_session(now, found_work=True)
+        w._record(now, active=True)
+        w.status = RUNNING
+        self.transport.schedule_exec(self.rank, now)
 
     def _steal_failed(self, now: float, victim: int) -> None:
         self.failed_steals += 1
@@ -581,10 +606,14 @@ class StealProtocol:
                     now,
                 )
                 return
+        self._deny_steal(now, thief)
+
+    def _deny_steal(self, now: float, thief: int) -> None:
+        """End a request chain: reply fail to the originating thief."""
         self.requests_denied += 1
         if self.events is not None:
             self.events.append(now, EV_DENY, thief)
-        self.transport.send(self.rank, thief, StealResponse(self.rank, None), now)
+        self.transport.send(self.rank, thief, self._deny, now)
 
     def _forward_target(self, visited: tuple[int, ...]) -> int | None:
         """Pick the next hop: unvisited region peers first, then the

@@ -6,8 +6,10 @@ event of the job through one heap and one shared latency-row cache; at
 O(N) row rebuild — the profile shows 73% of wall time there at 512
 ranks.  :class:`ShardedCluster` splits the rank space into contiguous,
 node-aligned *shards*, each with its own event heap, its own
-termination-detector slice, and its own latency-row cache sized to the
-shard's senders, so every send is a cache hit regardless of job scale.
+termination-detector slice, and its own latency rows: one flat
+``array('d')`` row per local sender, filled on the rank's first send,
+so every later send is one list index and one array index regardless
+of job scale.
 
 Correctness rests on the classic conservative-synchronisation argument
 (Chandy–Misra–Bryant), specialised to our fixed latency models:
@@ -98,21 +100,24 @@ import heapq
 import multiprocessing
 import os
 import time
+from array import array
 from bisect import bisect_right
+
+import numpy as np
 
 from repro.core.config import WorkStealingConfig
 from repro.core.tracing import TraceRecorder
 from repro.errors import ConfigurationError, SimulationError, TerminationError
 from repro.net.allocation import aligned_block_bounds, build_placement
-from repro.net.pairwise import PairwiseMetric
 from repro.protocol.factory import build_plan, make_worker
+from repro.protocol.status import DONE, WAITING
 from repro.sim.clock import ClockSkewModel
 from repro.sim.cluster import SimOutcome
 from repro.sim.engine import DEFAULT_MAX_EVENTS, EVT_EXEC, EVT_MSG
 from repro.sim.messages import TAG_STEAL_RESPONSE, TAG_TOKEN, Finish, Token
 from repro.sim.shardcodec import decode_entries, encode_entries, min_entry_key
 from repro.sim.termination import DijkstraTermination, TokenAction
-from repro.sim.worker import Worker, WorkerStatus
+from repro.sim.worker import Worker
 from repro.trace.events import EV_TOKEN, EventRecorder
 from repro.uts.tree import TreeGenerator
 
@@ -281,22 +286,20 @@ class _Shard:
         self.clock = clock
         self.detector = DijkstraTermination(config.nranks)
 
-        # The structural perf win: a shard-private latency metric whose
-        # row cache covers every local sender (plus row 0 for the
-        # finish broadcast), so sends never rebuild a row after warmup.
-        # Memory: (hi - lo + 1) rows of N float64 per shard.
-        model = config.latency_model
-        self._latency = PairwiseMetric(
-            config.nranks,
-            model.row_builder(placement.topology, placement.rank_nodes),
-            name=f"latency/shard{index}",
-            cache_rows=self.hi - self.lo + 1,
+        # Latency rows of the local senders, indexed by ``src - lo``
+        # and built on a rank's first send (the finish broadcast builds
+        # row 0 once more).  ``array('d')`` keeps 8 bytes per entry and
+        # indexes to a Python float without a numpy scalar.  Memory: at
+        # most (hi - lo) rows of N float64 per shard.
+        self._row_fn = config.latency_model.row_builder(
+            placement.topology, placement.rank_nodes
         )
-        self._latency_value = self._latency.value
+        self._rows: list[array | None] = [None] * (self.hi - self.lo)
 
         self._msg_heap: list = []
         self._exec_heap: list = []
-        self._rank_seq: dict[int, int] = {}
+        #: Next per-pusher event seq of each local rank (by ``rank - lo``).
+        self._rank_seq: list[int] = [0] * (self.hi - self.lo)
         self.now = 0.0
         self.processed = 0
         self._max_events = max_events
@@ -328,6 +331,9 @@ class _Shard:
             )
             for rank in range(self.lo, self.hi)
         ]
+        #: Message handlers by local rank: the event loop delivers
+        #: straight to the protocol layer.
+        self.protocols = [w.protocol for w in self.workers]
 
     # ------------------------------------------------------------------
     # Transport interface (used by workers)
@@ -337,16 +343,17 @@ class _Shard:
         if self._finishing:
             self.messages_dropped += 1
             return
-        wire = self._latency_value(src, dst)
-        if (
-            getattr(payload, "tag", None) == TAG_STEAL_RESPONSE
-            and payload.chunks is not None
-        ):
+        i = src - self.lo
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = array("d", self._latency_row(src).tobytes())
+        wire = row[dst]
+        if payload.tag == TAG_STEAL_RESPONSE and payload.chunks is not None:
             wire += payload.nodes * self._transfer_time_per_node
         arrival = when + wire
         rs = self._rank_seq
-        seq = rs.get(src, 0)
-        rs[src] = seq + 1
+        seq = rs[i]
+        rs[i] = seq + 1
         entry = (arrival, src, seq, EVT_MSG, dst, payload)
         if self.lo <= dst < self.hi:
             if arrival < self.now:
@@ -364,8 +371,9 @@ class _Shard:
                 f"event scheduled at {when} before current time {self.now}"
             )
         rs = self._rank_seq
-        seq = rs.get(rank, 0)
-        rs[rank] = seq + 1
+        i = rank - self.lo
+        seq = rs[i]
+        rs[i] = seq + 1
         heapq.heappush(
             self._exec_heap, (when, rank, seq, EVT_EXEC, rank, None)
         )
@@ -385,6 +393,16 @@ class _Shard:
 
     def local_time(self, rank: int, true_time: float) -> float:
         return self.clock.local_time(rank, true_time)
+
+    def _latency_row(self, rank: int) -> np.ndarray:
+        """Latency row of ``rank`` from the model's row builder."""
+        row = np.asarray(self._row_fn(rank), dtype=np.float64)
+        if row.shape != (self.nranks,):
+            raise ConfigurationError(
+                f"latency row_fn({rank}) returned shape {row.shape}, "
+                f"expected ({self.nranks},)"
+            )
+        return row
 
     # ------------------------------------------------------------------
     # Coordinator interface
@@ -530,6 +548,7 @@ class _Shard:
         pop = heapq.heappop
         push = heapq.heappush
         workers = self.workers
+        protocols = self.protocols
         lo = self.lo
         detector = self.detector
         event_recorders = self.event_recorders
@@ -598,8 +617,8 @@ class _Shard:
                                     "events (livelock or runaway "
                                     "configuration?)"
                                 )
-                            seq0 = rs.get(rank, 0)
-                            rs[rank] = seq0 + nq
+                            seq0 = rs[rank - lo]
+                            rs[rank - lo] = seq0 + nq
                             push(
                                 eheap,
                                 (
@@ -622,11 +641,11 @@ class _Shard:
                     action = detector.token_arrived(
                         rank,
                         payload.color,
-                        worker.status is WorkerStatus.WAITING,
+                        worker.status is WAITING,
                     )
                     self._dispatch_token_action(rank, action, t)
                 else:
-                    workers[rank - lo].on_message(t, payload)
+                    protocols[rank - lo].on_message(t, payload)
         finally:
             self.processed = processed
         return None
@@ -651,11 +670,11 @@ class _Shard:
             if self.event_recorders is not None:
                 self.event_recorders[rank].append(t, EV_TOKEN, payload.color)
             action = self.detector.token_arrived(
-                rank, payload.color, worker.status is WorkerStatus.WAITING
+                rank, payload.color, worker.status is WAITING
             )
             self._dispatch_token_action(rank, action, t)
         else:
-            self.workers[rank - self.lo].on_message(t, payload)
+            self.protocols[rank - self.lo].on_message(t, payload)
 
     # ------------------------------------------------------------------
     # Termination plumbing
@@ -693,10 +712,12 @@ class _Shard:
             box.clear()
         self.messages_dropped += dropped
         self._finishing = True
-        c0 = self._rank_seq.get(0, 0)
+        c0 = self._rank_seq[0]
         self.finish_info = (when, c0)
-        self.workers[0].on_message(when, Finish())
-        row0 = self._latency.row(0)
+        self.protocols[0].on_message(when, Finish())
+        # Finish times stay numpy scalars, as in the sequential engine:
+        # their repr is part of the canonical event-trace bytes.
+        row0 = self._latency_row(0)
         for rank in range(max(self.lo, 1), self.hi):
             heapq.heappush(
                 self._msg_heap,
@@ -714,7 +735,7 @@ class _Shard:
             box.clear()
         self.messages_dropped += dropped
         self._finishing = True
-        row0 = self._latency.row(0)
+        row0 = self._latency_row(0)
         for rank in range(self.lo, self.hi):
             heapq.heappush(
                 self._msg_heap,
@@ -727,7 +748,7 @@ class _Shard:
 
     def check_done(self) -> None:
         for worker in self.workers:
-            if worker.status is not WorkerStatus.DONE:
+            if worker.status is not DONE:
                 raise TerminationError(
                     f"rank {worker.rank} never received Finish"
                 )
@@ -1177,7 +1198,7 @@ class ShardedCluster:
                 "event queue drained before termination was detected"
             )
         for worker in workers:
-            if worker.status is not WorkerStatus.DONE:
+            if worker.status is not DONE:
                 raise TerminationError(
                     f"rank {worker.rank} never received Finish"
                 )
@@ -1310,7 +1331,9 @@ class _ShardChannel:
     unlinked — by the coordinator after the child is down.
     """
 
-    def __init__(self, ctx, config, bounds, shard_list, max_events, use_shm):
+    def __init__(
+        self, ctx, config, bounds, shard_list, max_events, use_shm, siblings
+    ):
         self.wait_s = 0.0
         self.bytes_sent = 0
         self.bytes_recv = 0
@@ -1345,6 +1368,9 @@ class _ShardChannel:
                     max_events,
                     self.rx_seg.shm if self.rx_seg is not None else None,
                     self.tx_seg.shm if self.tx_seg is not None else None,
+                    # Coordinator ends a forked child inherits: its own
+                    # and every earlier sibling's.
+                    [ch.conn for ch in siblings] + [parent_conn],
                 ),
                 daemon=True,
             )
@@ -1433,7 +1459,7 @@ class _ChildPool:
                 self.channels.append(
                     _ShardChannel(
                         ctx, config, bounds, shard_list, max_events,
-                        use_shm=want_shm,
+                        use_shm=want_shm, siblings=self.channels,
                     )
                 )
         except Exception:
@@ -1478,6 +1504,7 @@ def _shard_worker_main(
     max_events,
     rx_shm=None,
     tx_shm=None,
+    coordinator_ends=(),
 ) -> None:
     """Command loop of one shard-hosting process.
 
@@ -1487,7 +1514,15 @@ def _shard_worker_main(
     protocol until ``done`` or pipe EOF.  Module flags (burst,
     extension, codec) are inherited from the parent under the fork
     start method, which is what lets the differential tests pin them.
+
+    ``coordinator_ends`` are the parent-side pipe ends this process
+    inherited under ``fork``.  They are closed first: while any copy of
+    a parent end stays open, a pipe never reports EOF, and a child
+    whose coordinator died would wait out ``shutdown``'s join timeout
+    instead of exiting.
     """
+    for end in coordinator_ends:
+        end.close()
     busy = 0.0
     rx_seg = _ShmSegment(rx_shm) if rx_shm is not None else None
     tx_seg = _ShmSegment(tx_shm) if tx_shm is not None else None

@@ -37,7 +37,7 @@ from repro.core.tracing import TraceRecorder
 from repro.core.victim import VictimSelector
 from repro.errors import SimulationError
 from repro.protocol.core import ProtocolPlan, StealProtocol
-from repro.protocol.status import WorkerStatus
+from repro.protocol.status import RUNNING, WorkerStatus
 from repro.trace.events import EventRecorder
 from repro.uts.stack import ChunkedStack
 from repro.uts.tree import SCALAR_BATCH_CUTOFF, TreeGenerator
@@ -129,7 +129,7 @@ class Worker:
         self.steal_service_time = steal_service_time
 
         self.stack = ChunkedStack(chunk_size)
-        self.status = WorkerStatus.RUNNING  # resolved properly in start()
+        self.status = RUNNING  # resolved properly in start()
         self.trace = trace
         # Structured steal-event sink (repro.trace); None when event
         # tracing is off, so every hook is one load + one None test on
@@ -185,7 +185,7 @@ class Worker:
                 np.array([depth], dtype=np.int32),
             )
             self._record(now, active=True)
-            self.status = WorkerStatus.RUNNING
+            self.status = RUNNING
             self.transport.schedule_exec(self.rank, now)
         else:
             self._go_idle(now)
@@ -196,7 +196,7 @@ class Worker:
 
     def on_exec(self, now: float) -> None:
         """Poll boundary: answer queued steals, then work or search."""
-        if self.status is not WorkerStatus.RUNNING:
+        if self.status is not RUNNING:
             raise SimulationError(
                 f"rank {self.rank}: EXEC while {self.status.name}"
             )

@@ -53,14 +53,14 @@ class FakeTransport:
         return true_time
 
 
-def make_worker(rank=1, nranks=8, plan=None):
+def make_worker(rank=1, nranks=8, plan=None, policy=None):
     t = FakeTransport()
     w = Worker(
         rank=rank,
         nranks=nranks,
         generator=TreeGenerator(TREE),
         selector=UniformRandomSelector().make(rank, nranks, seed=0),
-        policy=StealOne(),
+        policy=policy if policy is not None else StealOne(),
         transport=t,
         chunk_size=5,
         poll_interval=4,
@@ -322,3 +322,109 @@ class TestLifelineRaces:
         w.status = WorkerStatus.RUNNING
         with pytest.raises(SimulationError, match="while RUNNING"):
             w.protocol.on_message(1.0, StealResponse(victim=3, chunks=None))
+
+
+class TestMessageErrors:
+    """The response branch is tested first; every other tag, and
+    anything without one, still ends in the unexpected-message error."""
+
+    class _Tagless:
+        pass
+
+    class _UnknownTag:
+        tag = 99
+
+    @pytest.mark.parametrize(
+        "status", [WorkerStatus.RUNNING, WorkerStatus.WAITING], ids=["running", "waiting"]
+    )
+    @pytest.mark.parametrize(
+        "msg", [_Tagless(), _UnknownTag()], ids=["tagless", "unknown-tag"]
+    )
+    def test_tagless_or_unknown_message_raises(self, status, msg):
+        from repro.errors import SimulationError
+
+        w, _ = make_worker()
+        w.status = status
+        with pytest.raises(SimulationError, match="unexpected message"):
+            w.protocol.on_message(1.0, msg)
+
+    def test_lifeline_message_without_lifelines_raises(self):
+        from repro.errors import SimulationError
+        from repro.protocol.messages import LifelineRegister
+
+        w, _ = make_worker()
+        w.start(0.0)
+        with pytest.raises(SimulationError, match="unexpected message"):
+            w.protocol.on_message(1.0, LifelineRegister(thief=5))
+
+    def test_unknown_message_after_finish_is_dropped(self):
+        w, t = make_worker()
+        w.status = WorkerStatus.DONE
+        w.protocol.on_message(1.0, self._UnknownTag())
+        assert t.sent == []
+
+
+class TestReusedMessages:
+    """Each rank sends one deny object and two request objects (plain,
+    escalated) by reference; they must never be mutated, and the
+    cross-shard codec must decode them into equal, separate objects."""
+
+    @staticmethod
+    def _adaptive_worker():
+        from repro.select.adaptive import AdaptiveStealPolicy
+
+        return make_worker(policy=AdaptiveStealPolicy(escalate_after=2))
+
+    def test_requests_and_denies_are_shared_and_unmutated(self):
+        w, t = self._adaptive_worker()
+        w.start(0.0)  # rank 1 starts idle: first request
+        for k in range(4):
+            w.on_message(1.0 + k, StealResponse(victim=3, chunks=None))
+        requests = [m[2] for m in _of_type(t.sent, StealRequest)]
+        assert [r.escalated for r in requests] == [
+            False, False, True, True, True
+        ]
+        plain = {id(r) for r in requests if not r.escalated}
+        escalated = {id(r) for r in requests if r.escalated}
+        assert len(plain) == 1 and len(escalated) == 1
+        assert all(r.thief == 1 for r in requests)
+
+        victim, vt = make_worker(rank=2)
+        victim.start(0.0)  # idle: denies at once
+        for thief in (4, 5, 4):
+            victim.on_message(2.0, StealRequest(thief=thief))
+        denies = [m[2] for m in _of_type(vt.sent, StealResponse)]
+        assert [m[1] for m in _of_type(vt.sent, StealResponse)] == [4, 5, 4]
+        assert len({id(d) for d in denies}) == 1
+        assert denies[0].victim == 2 and denies[0].chunks is None
+
+    def test_codec_round_trip_is_equal_and_leaves_originals_intact(self):
+        from repro.sim.engine import EVT_MSG
+        from repro.sim.shardcodec import decode_entries, encode_entries
+
+        w, t = self._adaptive_worker()
+        w.start(0.0)
+        for k in range(3):
+            w.on_message(1.0 + k, StealResponse(victim=3, chunks=None))
+        victim, vt = make_worker(rank=2)
+        victim.start(0.0)
+        victim.on_message(2.0, StealRequest(thief=6))
+        victim.on_message(2.5, StealRequest(thief=7))
+
+        sent = t.sent + vt.sent
+        entries = [
+            (when, src, seq, EVT_MSG, dst, payload)
+            for seq, (src, dst, payload, when) in enumerate(sent)
+        ]
+        before = [(type(p), dict((s, getattr(p, s)) for s in p.__slots__))
+                  for *_, p in entries]
+        decoded = decode_entries(encode_entries(entries))
+        assert decoded == entries
+        for (*_, original), (*_, copy) in zip(entries, decoded):
+            assert copy is not original
+        after = [(type(p), dict((s, getattr(p, s)) for s in p.__slots__))
+                 for *_, p in entries]
+        assert after == before
+        # Decoding twice yields independent objects as well.
+        again = decode_entries(encode_entries(entries))
+        assert all(a[5] is not b[5] for a, b in zip(again, decoded))

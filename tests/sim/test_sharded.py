@@ -465,8 +465,14 @@ class TestWorkerPoolLifecycle:
             shard_transport=transport,
         )
         before = {p.pid for p in multiprocessing.active_children()}
+        t0 = time.monotonic()
         with pytest.raises(SimulationError, match="exceeded"):
             ShardedCluster(cfg, max_events=50).run()
+        # The healthy child sees EOF as soon as the coordinator closes
+        # its pipe end (no inherited copy keeps it open), so the run
+        # raises without waiting out the shutdown join timeout.
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1.0, f"failed run took {elapsed:.2f}s to raise"
         deadline = time.monotonic() + 15.0
         while time.monotonic() < deadline:
             leaked = [
